@@ -9,8 +9,10 @@
 //! the session caches, and the database stays fully usable.
 #![deny(clippy::unwrap_used)]
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 use sgb_core::query::Grouping;
@@ -23,7 +25,7 @@ use crate::engine::Database;
 use crate::error::{Error, Result};
 use crate::expr::BoundExpr;
 use crate::plan::{AggCall, AggKind, NodeStat, Plan, SgbMode};
-use crate::subscription::QueryKey;
+use crate::subscription::{GroupingSnapshot, QueryKey};
 use crate::table::{Row, Table};
 use crate::value::Value;
 
@@ -42,7 +44,8 @@ pub(crate) fn execute_governed(
     db: &Database,
     governor: &QueryGovernor,
 ) -> Result<Table> {
-    execute_node(plan, db, governor, 0, None)
+    let rows = execute_node(plan, db, governor, 0, None)?;
+    Ok(Table::from_parts(plan.schema().clone(), rows.into_rows()))
 }
 
 /// `EXPLAIN ANALYZE` entry point: executes `plan` with per-node actuals
@@ -57,83 +60,147 @@ pub(crate) fn execute_with_stats(
     governor: &QueryGovernor,
 ) -> Result<(Table, Vec<NodeStat>)> {
     let stats = RefCell::new(vec![NodeStat::default(); plan.node_count()]);
-    let table = execute_node(plan, db, governor, 0, Some(&stats))?;
+    let rows = execute_node(plan, db, governor, 0, Some(&stats))?;
+    let table = Table::from_parts(plan.schema().clone(), rows.into_rows());
     Ok((table, stats.into_inner()))
+}
+
+/// An intermediate result: a row sequence that either borrows a catalog
+/// table's rows (a scan, and the filters, sorts and limits above it) or
+/// owns rows a node built (projections, joins, aggregate outputs), read
+/// through an optional selection of row positions. Filter, Sort and Limit
+/// only rewrite the selection, so base rows are never copied on the way
+/// up; the statement root materialises once ([`RowSet::into_rows`]).
+struct RowSet<'a> {
+    rows: Cow<'a, [Row]>,
+    /// Positions into `rows`, in output order and each at most once;
+    /// `None` reads every row in storage order.
+    sel: Option<Vec<usize>>,
+}
+
+impl<'a> RowSet<'a> {
+    fn borrowed(rows: &'a [Row]) -> Self {
+        Self {
+            rows: Cow::Borrowed(rows),
+            sel: None,
+        }
+    }
+
+    fn owned(rows: Vec<Row>) -> Self {
+        Self {
+            rows: Cow::Owned(rows),
+            sel: None,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.sel.as_ref().map_or(self.rows.len(), Vec::len)
+    }
+
+    /// Reads the row at an output position. The base slice and the
+    /// selection are resolved once, here, not on every read: this is the
+    /// hot loop of every aggregate.
+    fn reader<'s>(&'s self) -> impl Fn(usize) -> &'s Row + Copy + 's {
+        let (rows, sel) = (&*self.rows, self.sel.as_deref());
+        move |i| &rows[sel.map_or(i, |sel| sel[i])]
+    }
+
+    fn iter(&self) -> impl ExactSizeIterator<Item = &Row> + '_ {
+        (0..self.len()).map(self.reader())
+    }
+
+    /// Keeps the rows at output positions `keep`, in that order (each
+    /// position at most once).
+    fn select(self, keep: Vec<usize>) -> Self {
+        let sel = match self.sel {
+            Some(sel) => keep.into_iter().map(|p| sel[p]).collect(),
+            None => keep,
+        };
+        Self {
+            rows: self.rows,
+            sel: Some(sel),
+        }
+    }
+
+    /// Materialises the output rows: borrowed rows are cloned, owned rows
+    /// are moved out.
+    fn into_rows(self) -> Vec<Row> {
+        match (self.rows, self.sel) {
+            (rows, None) => rows.into_owned(),
+            (Cow::Borrowed(rows), Some(sel)) => sel.iter().map(|&i| rows[i].clone()).collect(),
+            // Selections never repeat a position, so each row moves once.
+            (Cow::Owned(mut rows), Some(sel)) => {
+                sel.iter().map(|&i| std::mem::take(&mut rows[i])).collect()
+            }
+        }
+    }
 }
 
 /// The recursive worker: executes one node (and its inputs), recording
 /// inclusive elapsed time and output cardinality into `stats[id]` when a
 /// sink is present. `id` is the node's pre-order index within the root
 /// plan.
-fn execute_node(
+fn execute_node<'a>(
     plan: &Plan,
-    db: &Database,
+    db: &'a Database,
     governor: &QueryGovernor,
     id: usize,
     stats: Option<&RefCell<Vec<NodeStat>>>,
-) -> Result<Table> {
+) -> Result<RowSet<'a>> {
     let started = stats.map(|_| Instant::now());
     let out = execute_inner(plan, db, governor, id, stats)?;
     if let (Some(stats), Some(started)) = (stats, started) {
         let stat = &mut stats.borrow_mut()[id];
         stat.elapsed_nanos = started.elapsed().as_nanos() as u64;
-        stat.rows = out.rows.len();
+        stat.rows = out.len();
     }
     Ok(out)
 }
 
-fn execute_inner(
+fn execute_inner<'a>(
     plan: &Plan,
-    db: &Database,
+    db: &'a Database,
     governor: &QueryGovernor,
     id: usize,
     stats: Option<&RefCell<Vec<NodeStat>>>,
-) -> Result<Table> {
+) -> Result<RowSet<'a>> {
     let execute = |plan: &Plan, child_id: usize| execute_node(plan, db, governor, child_id, stats);
     match plan {
-        Plan::Scan { table, .. } => {
-            let t = db.table(table)?;
-            Ok(Table::from_parts(plan.schema().clone(), t.rows.clone()))
-        }
+        Plan::Scan { table, .. } => Ok(RowSet::borrowed(&db.table(table)?.rows)),
         Plan::Filter { input, predicate } => {
-            let mut t = execute(input, id + 1)?;
-            let mut kept = Vec::with_capacity(t.rows.len());
-            for row in t.rows.drain(..) {
-                if predicate.eval_predicate(&row)? {
-                    kept.push(row);
+            let t = execute(input, id + 1)?;
+            let mut kept = Vec::with_capacity(t.len());
+            for (i, row) in t.iter().enumerate() {
+                if predicate.eval_predicate(row)? {
+                    kept.push(i);
                 }
             }
-            t.rows = kept;
-            Ok(t)
+            Ok(t.select(kept))
         }
-        Plan::Project {
-            input,
-            exprs,
-            schema,
-        } => {
+        Plan::Project { input, exprs, .. } => {
             let t = execute(input, id + 1)?;
-            let mut rows = Vec::with_capacity(t.rows.len());
-            for row in &t.rows {
+            let mut rows = Vec::with_capacity(t.len());
+            for row in t.iter() {
                 let mut out = Vec::with_capacity(exprs.len());
                 for e in exprs {
                     out.push(e.eval(row)?);
                 }
                 rows.push(out);
             }
-            Ok(Table::from_parts(schema.clone(), rows))
+            Ok(RowSet::owned(rows))
         }
         Plan::HashJoin {
             left,
             right,
             left_keys,
             right_keys,
-            schema,
+            ..
         } => {
             let l = execute(left, id + 1)?;
             let r = execute(right, id + 1 + left.node_count())?;
             // Build on the right input.
             let mut build: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-            'rows: for (i, row) in r.rows.iter().enumerate() {
+            'rows: for (i, row) in r.iter().enumerate() {
                 let mut key = Vec::with_capacity(right_keys.len());
                 for k in right_keys {
                     let v = k.eval(row)?;
@@ -144,9 +211,11 @@ fn execute_inner(
                 }
                 build.entry(key).or_default().push(i);
             }
+            let right_row = r.reader();
             let mut rows = Vec::new();
-            'probe: for lrow in &l.rows {
-                let mut key = Vec::with_capacity(left_keys.len());
+            let mut key = Vec::with_capacity(left_keys.len());
+            'probe: for lrow in l.iter() {
+                key.clear();
                 for k in left_keys {
                     let v = k.eval(lrow)?;
                     if v.is_null() {
@@ -154,32 +223,28 @@ fn execute_inner(
                     }
                     key.push(v);
                 }
-                if let Some(matches) = build.get(&key) {
+                if let Some(matches) = build.get(key.as_slice()) {
                     for &ri in matches {
                         let mut out = lrow.clone();
-                        out.extend(r.rows[ri].iter().cloned());
+                        out.extend(right_row(ri).iter().cloned());
                         rows.push(out);
                     }
                 }
             }
-            Ok(Table::from_parts(schema.clone(), rows))
+            Ok(RowSet::owned(rows))
         }
-        Plan::CrossJoin {
-            left,
-            right,
-            schema,
-        } => {
+        Plan::CrossJoin { left, right, .. } => {
             let l = execute(left, id + 1)?;
             let r = execute(right, id + 1 + left.node_count())?;
-            let mut rows = Vec::with_capacity(l.rows.len() * r.rows.len());
-            for lrow in &l.rows {
-                for rrow in &r.rows {
+            let mut rows = Vec::with_capacity(l.len() * r.len());
+            for lrow in l.iter() {
+                for rrow in r.iter() {
                     let mut out = lrow.clone();
                     out.extend(rrow.iter().cloned());
                     rows.push(out);
                 }
             }
-            Ok(Table::from_parts(schema.clone(), rows))
+            Ok(RowSet::owned(rows))
         }
         Plan::HashAggregate {
             input,
@@ -187,53 +252,42 @@ fn execute_inner(
             aggs,
             having,
             outputs,
-            schema,
+            ..
         } => {
             let t = execute(input, id + 1)?;
-            // First-seen group order (like PostgreSQL's hash agg output is
-            // unordered, but determinism helps tests).
-            let mut order: Vec<Vec<Value>> = Vec::new();
+            // Groups are numbered in first-seen order (like PostgreSQL's
+            // hash agg output is unordered, but determinism helps tests).
+            // One key buffer serves every probe; a key is allocated and
+            // stored only when its group first appears.
             let mut index: HashMap<Vec<Value>, usize> = HashMap::new();
-            let mut states: Vec<Vec<AggState>> = Vec::new();
-            for row in &t.rows {
-                let mut key = Vec::with_capacity(group_exprs.len());
+            let mut members: Vec<Vec<usize>> = Vec::new();
+            let mut key = Vec::with_capacity(group_exprs.len());
+            for (i, row) in t.iter().enumerate() {
+                key.clear();
                 for g in group_exprs {
                     key.push(g.eval(row)?);
                 }
-                let slot = match index.get(&key) {
+                let slot = match index.get(key.as_slice()) {
                     Some(&s) => s,
                     None => {
-                        index.insert(key.clone(), states.len());
-                        order.push(key);
-                        states.push(aggs.iter().map(AggState::new).collect());
-                        states.len() - 1
+                        index.insert(key.clone(), members.len());
+                        members.push(Vec::new());
+                        members.len() - 1
                     }
                 };
-                for (st, call) in states[slot].iter_mut().zip(aggs) {
-                    st.update(call, row)?;
-                }
+                members[slot].push(i);
             }
             // Global aggregation over empty input still yields one row.
-            if group_exprs.is_empty() && states.is_empty() {
-                order.push(Vec::new());
-                states.push(aggs.iter().map(AggState::new).collect());
+            if group_exprs.is_empty() && members.is_empty() {
+                index.insert(Vec::new(), 0);
+                members.push(Vec::new());
             }
-            let mut rows = Vec::with_capacity(states.len());
-            for (key, st) in order.into_iter().zip(states) {
-                let mut internal = key;
-                internal.extend(st.into_iter().map(AggState::finish));
-                if let Some(h) = having {
-                    if !h.eval_predicate(&internal)? {
-                        continue;
-                    }
-                }
-                let mut out = Vec::with_capacity(outputs.len());
-                for e in outputs {
-                    out.push(e.eval(&internal)?);
-                }
-                rows.push(out);
+            let mut keys = vec![Vec::new(); members.len()];
+            for (k, slot) in index {
+                keys[slot] = k;
             }
-            Ok(Table::from_parts(schema.clone(), rows))
+            let groups = keys.into_iter().zip(members.iter().map(Vec::as_slice));
+            aggregate_groups(&t, groups, aggs, having, outputs)
         }
         Plan::SimilarityGroupBy {
             input,
@@ -242,7 +296,6 @@ fn execute_inner(
             aggs,
             having,
             outputs,
-            schema,
             ..
         } => {
             let t = execute(input, id + 1)?;
@@ -266,22 +319,23 @@ fn execute_inner(
             // otherwise route through the session's shared-work cache when
             // the node reads a base table directly — only then does the
             // table's version counter describe the operator's actual input.
-            let served = subscription_grouping(db, input, coords, &QueryKey::from_sgb_mode(mode));
-            let grouping = match served {
-                Some(g) => g,
-                None => match cached_scan_table(db, input) {
-                    Some(table) => {
-                        run_sgb_cached(db, &table, &t.rows, coords, mode, governor, &tel)?
-                    }
-                    None => run_sgb(&t.rows, coords, mode, governor, &tel)?,
-                },
+            let snapshot = subscription_grouping(db, input, coords, &QueryKey::from_sgb_mode(mode));
+            let computed;
+            let grouping = match &snapshot {
+                Some(snap) => snap.grouping(),
+                None => {
+                    computed = match cached_scan_table(db, input) {
+                        Some(table) => {
+                            run_sgb_cached(db, &table, &t, coords, mode, governor, &tel)?
+                        }
+                        None => run_sgb(&t, coords, mode, governor, &tel)?,
+                    };
+                    &computed
+                }
             };
-            let out = {
-                let _agg = tel.phase(Phase::Aggregate);
-                aggregate_grouping(&t, &grouping, aggs, having, outputs, schema)
-            };
+            let out = aggregate_grouping(&t, grouping, aggs, having, outputs, &tel);
             if let Some(stats) = stats {
-                stats.borrow_mut()[id].detail = similarity_detail(&grouping, &tel);
+                stats.borrow_mut()[id].detail = similarity_detail(grouping, &tel);
             }
             out
         }
@@ -296,7 +350,6 @@ fn execute_inner(
             aggs,
             having,
             outputs,
-            schema,
             ..
         } => {
             let t = execute(input, id + 1)?;
@@ -313,47 +366,54 @@ fn execute_inner(
                 ],
                 1,
             );
-            let served = subscription_grouping(
+            let snapshot = subscription_grouping(
                 db,
                 input,
                 coords,
                 &QueryKey::around(centers, *metric, *radius),
             );
-            let grouping = match served {
-                Some(g) => g,
-                None => match cached_scan_table(db, input) {
-                    Some(table) => run_around_cached(
-                        db, &table, &t.rows, coords, centers, *metric, *radius, *algorithm,
-                        *threads, governor, &tel,
-                    )?,
-                    None => run_around(
-                        &t.rows, coords, centers, *metric, *radius, *algorithm, *threads, governor,
-                        &tel,
-                    )?,
-                },
+            let computed;
+            let grouping = match &snapshot {
+                Some(snap) => snap.grouping(),
+                None => {
+                    computed = match cached_scan_table(db, input) {
+                        Some(table) => run_around_cached(
+                            db, &table, &t, coords, centers, *metric, *radius, *algorithm,
+                            *threads, governor, &tel,
+                        )?,
+                        None => run_around(
+                            &t, coords, centers, *metric, *radius, *algorithm, *threads, governor,
+                            &tel,
+                        )?,
+                    };
+                    &computed
+                }
             };
-            let out = {
-                let _agg = tel.phase(Phase::Aggregate);
-                aggregate_grouping(&t, &grouping, aggs, having, outputs, schema)
-            };
+            let out = aggregate_grouping(&t, grouping, aggs, having, outputs, &tel);
             if let Some(stats) = stats {
-                stats.borrow_mut()[id].detail = similarity_detail(&grouping, &tel);
+                stats.borrow_mut()[id].detail = similarity_detail(grouping, &tel);
             }
             out
         }
         Plan::Sort { input, keys } => {
-            let mut t = execute(input, id + 1)?;
-            // Pre-compute sort keys (decorate-sort-undecorate).
-            let mut decorated: Vec<(Vec<Value>, Row)> = Vec::with_capacity(t.rows.len());
-            for row in t.rows.drain(..) {
-                let mut ks = Vec::with_capacity(keys.len());
+            let t = execute(input, id + 1)?;
+            // Pre-compute sort keys into one flat buffer (row-major, one
+            // stride per row), then sort output positions — stably, like
+            // the row sort it stands for.
+            let width = keys.len();
+            let mut decorated: Vec<Value> = Vec::with_capacity(t.len() * width);
+            for row in t.iter() {
                 for (e, _) in keys {
-                    ks.push(e.eval(&row)?);
+                    decorated.push(e.eval(row)?);
                 }
-                decorated.push((ks, row));
             }
-            decorated.sort_by(|(a, _), (b, _)| {
-                for ((x, y), (_, desc)) in a.iter().zip(b.iter()).zip(keys) {
+            let mut order: Vec<usize> = (0..t.len()).collect();
+            order.sort_by(|&a, &b| {
+                let (ka, kb) = (
+                    &decorated[a * width..][..width],
+                    &decorated[b * width..][..width],
+                );
+                for ((x, y), (_, desc)) in ka.iter().zip(kb).zip(keys) {
                     let ord = match (x.is_null(), y.is_null()) {
                         (true, true) => std::cmp::Ordering::Equal,
                         (true, false) => std::cmp::Ordering::Less,
@@ -367,39 +427,38 @@ fn execute_inner(
                 }
                 std::cmp::Ordering::Equal
             });
-            t.rows = decorated.into_iter().map(|(_, r)| r).collect();
-            Ok(t)
+            Ok(t.select(order))
         }
         Plan::Limit { input, n } => {
-            let mut t = execute(input, id + 1)?;
-            t.rows.truncate(*n);
-            Ok(t)
+            let t = execute(input, id + 1)?;
+            let kept = (0..t.len().min(*n)).collect();
+            Ok(t.select(kept))
         }
     }
 }
 
-/// Aggregates the rows of each answer group into one output row, applying
-/// HAVING and the output expressions over the internal `[aggregates…]`
-/// layout — shared by the similarity group-by plan nodes. The iteration
-/// uses the relational output shape ([`Grouping::output_groups`]): answer
-/// groups first, then — for radius-bounded AROUND — the outlier group.
-fn aggregate_grouping(
-    t: &Table,
-    grouping: &Grouping,
+/// Aggregates the member rows of each group into one output row, applying
+/// HAVING and the output expressions over the internal `[key…,
+/// aggregates…]` layout — shared by every aggregating plan node. A group
+/// is its key values (empty for similarity groups) and the output
+/// positions of its members in `t`; each aggregate folds a whole group
+/// in one [`AggState::update`] call.
+fn aggregate_groups<'a, 'g>(
+    t: &RowSet<'_>,
+    groups: impl Iterator<Item = (Row, &'g [usize])>,
     aggs: &[AggCall],
     having: &Option<BoundExpr>,
     outputs: &[BoundExpr],
-    schema: &crate::schema::Schema,
-) -> Result<Table> {
-    let mut rows = Vec::with_capacity(grouping.num_groups() + 1);
-    for members in grouping.output_groups() {
-        let mut st: Vec<AggState> = aggs.iter().map(AggState::new).collect();
-        for &r in members {
-            for (s, call) in st.iter_mut().zip(aggs) {
-                s.update(call, &t.rows[r])?;
-            }
+) -> Result<RowSet<'a>> {
+    let row = t.reader();
+    let mut rows = Vec::with_capacity(groups.size_hint().0);
+    for (key, members) in groups {
+        let mut internal = key;
+        for call in aggs {
+            let mut st = AggState::new(call);
+            st.update(call, members.iter().map(|&r| row(r)))?;
+            internal.push(st.finish());
         }
-        let internal: Row = st.into_iter().map(AggState::finish).collect();
         if let Some(h) = having {
             if !h.eval_predicate(&internal)? {
                 continue;
@@ -411,7 +470,25 @@ fn aggregate_grouping(
         }
         rows.push(out);
     }
-    Ok(Table::from_parts(schema.clone(), rows))
+    Ok(RowSet::owned(rows))
+}
+
+/// Aggregates a similarity node's groups in the relational output shape
+/// ([`Grouping::output_groups`]): answer groups first, then — for
+/// radius-bounded AROUND — the outlier group.
+fn aggregate_grouping<'a>(
+    t: &RowSet<'_>,
+    grouping: &Grouping,
+    aggs: &[AggCall],
+    having: &Option<BoundExpr>,
+    outputs: &[BoundExpr],
+    tel: &Telemetry,
+) -> Result<RowSet<'a>> {
+    let _agg = tel.phase(Phase::Aggregate);
+    let groups = grouping
+        .output_groups()
+        .map(|members| (Vec::new(), members));
+    aggregate_groups(t, groups, aggs, having, outputs)
 }
 
 /// The `EXPLAIN ANALYZE` detail line of a similarity node: answer-group
@@ -438,7 +515,7 @@ fn similarity_detail(grouping: &Grouping, tel: &Telemetry) -> String {
     d
 }
 
-/// The grouping served from a fresh subscription snapshot, when one
+/// The fresh subscription snapshot to serve the grouping from, when one
 /// matches the node: the node reads a base table directly, an active
 /// subscription over it has the same grouping attributes and
 /// result-relevant operator parameters, and its published snapshot
@@ -450,7 +527,7 @@ fn subscription_grouping(
     input: &Plan,
     coords: &[BoundExpr],
     key: &QueryKey,
-) -> Option<Grouping> {
+) -> Option<Arc<GroupingSnapshot>> {
     let table = match input {
         Plan::Scan { table, .. } if !table.is_empty() => table.to_ascii_lowercase(),
         _ => return None,
@@ -476,16 +553,17 @@ fn cached_scan_table(db: &Database, input: &Plan) -> Option<String> {
 
 /// Extracts the 2-D or 3-D grouping points of every row (the paper's "two
 /// and three dimensional data space").
-pub(crate) fn extract_points<const D: usize>(
-    rows: &[Row],
+pub(crate) fn extract_points<'r, const D: usize>(
+    rows: impl IntoIterator<Item = &'r Row>,
     coords: &[BoundExpr],
 ) -> Result<Vec<Point<D>>> {
     debug_assert_eq!(coords.len(), D);
-    let mut points: Vec<Point<D>> = Vec::with_capacity(rows.len());
+    let rows = rows.into_iter();
+    let mut points: Vec<Point<D>> = Vec::with_capacity(rows.size_hint().0);
     for row in rows {
         let mut c = [0.0f64; D];
         for (d, expr) in coords.iter().enumerate() {
-            let v = expr.eval(row)?;
+            let v = expr.eval_ref(row)?;
             let Some(f) = v.as_f64() else {
                 return Err(Error::Eval(format!(
                     "similarity grouping attributes must be numeric and non-null, got {v}"
@@ -505,7 +583,7 @@ pub(crate) fn extract_points<const D: usize>(
 
 /// Runs the configured SGB-All / SGB-Any operator over the grouping points.
 fn run_sgb(
-    rows: &[Row],
+    rows: &RowSet<'_>,
     coords: &[BoundExpr],
     mode: &SgbMode,
     governor: &QueryGovernor,
@@ -521,13 +599,13 @@ fn run_sgb(
 }
 
 fn run_sgb_d<const D: usize>(
-    rows: &[Row],
+    rows: &RowSet<'_>,
     coords: &[BoundExpr],
     mode: &SgbMode,
     governor: &QueryGovernor,
     telemetry: &Telemetry,
 ) -> Result<Grouping> {
-    let points = extract_points::<D>(rows, coords)?;
+    let points = extract_points::<D>(rows.iter(), coords)?;
     Ok(sgb_query::<D>(mode)?
         .telemetry(telemetry.clone())
         .try_run(&points, governor)?)
@@ -581,7 +659,7 @@ pub(crate) fn sgb_query<const D: usize>(mode: &SgbMode) -> Result<SgbQuery<D>> {
 fn run_sgb_cached(
     db: &Database,
     table: &str,
-    rows: &[Row],
+    rows: &RowSet<'_>,
     coords: &[BoundExpr],
     mode: &SgbMode,
     governor: &QueryGovernor,
@@ -607,7 +685,7 @@ fn run_sgb_cached(
 fn run_sgb_cached_d<const D: usize>(
     db: &Database,
     table: &str,
-    rows: &[Row],
+    rows: &RowSet<'_>,
     coords: &[BoundExpr],
     mode: &SgbMode,
     slot: &Slot<D>,
@@ -615,7 +693,7 @@ fn run_sgb_cached_d<const D: usize>(
     telemetry: &Telemetry,
 ) -> Result<Grouping> {
     let version = db.table(table)?.version();
-    let points = slot.points_for(version, || extract_points::<D>(rows, coords))?;
+    let points = slot.points_for(version, || extract_points::<D>(rows.iter(), coords))?;
     Ok(sgb_query::<D>(mode)?
         .telemetry(telemetry.clone())
         .try_run_cached(&points, slot.core(), version, governor)?)
@@ -626,7 +704,7 @@ fn run_sgb_cached_d<const D: usize>(
 /// outlier group.
 #[allow(clippy::too_many_arguments)]
 fn run_around(
-    rows: &[Row],
+    rows: &RowSet<'_>,
     coords: &[BoundExpr],
     centers: &[Vec<f64>],
     metric: Metric,
@@ -651,7 +729,7 @@ fn run_around(
 
 #[allow(clippy::too_many_arguments)]
 fn run_around_d<const D: usize>(
-    rows: &[Row],
+    rows: &RowSet<'_>,
     coords: &[BoundExpr],
     centers: &[Vec<f64>],
     metric: Metric,
@@ -661,7 +739,7 @@ fn run_around_d<const D: usize>(
     governor: &QueryGovernor,
     telemetry: &Telemetry,
 ) -> Result<Grouping> {
-    let points = extract_points::<D>(rows, coords)?;
+    let points = extract_points::<D>(rows.iter(), coords)?;
     Ok(
         around_query::<D>(centers, metric, radius, algorithm, threads)?
             .telemetry(telemetry.clone())
@@ -725,7 +803,7 @@ pub(crate) fn around_query<const D: usize>(
 fn run_around_cached(
     db: &Database,
     table: &str,
-    rows: &[Row],
+    rows: &RowSet<'_>,
     coords: &[BoundExpr],
     centers: &[Vec<f64>],
     metric: Metric,
@@ -740,7 +818,7 @@ fn run_around_cached(
         2 => {
             let slot = db.caches().slot2(table, &key);
             let version = db.table(table)?.version();
-            let points = slot.points_for(version, || extract_points::<2>(rows, coords))?;
+            let points = slot.points_for(version, || extract_points::<2>(rows.iter(), coords))?;
             Ok(
                 around_query::<2>(centers, metric, radius, algorithm, threads)?
                     .telemetry(telemetry.clone())
@@ -750,7 +828,7 @@ fn run_around_cached(
         3 => {
             let slot = db.caches().slot3(table, &key);
             let version = db.table(table)?.version();
-            let points = slot.points_for(version, || extract_points::<3>(rows, coords))?;
+            let points = slot.points_for(version, || extract_points::<3>(rows.iter(), coords))?;
             Ok(
                 around_query::<3>(centers, metric, radius, algorithm, threads)?
                     .telemetry(telemetry.clone())
@@ -791,9 +869,18 @@ impl AggState {
         }
     }
 
-    fn update(&mut self, call: &AggCall, row: &[Value]) -> Result<()> {
+    /// Folds `rows` into the accumulator: one dispatch on the aggregate
+    /// kind per batch, then a loop that reads the argument by reference
+    /// ([`BoundExpr::eval_ref`]) and skips NULLs, as SQL aggregates do.
+    /// Min/Max clone a value only when it becomes the new best.
+    fn update<'r>(
+        &mut self,
+        call: &AggCall,
+        rows: impl IntoIterator<Item = &'r Row>,
+    ) -> Result<()> {
+        let rows = rows.into_iter();
         if let AggState::CountStar(n) = self {
-            *n += 1;
+            *n += rows.count() as i64;
             return Ok(());
         }
         // The planner always attaches an argument to non-count(*)
@@ -802,47 +889,66 @@ impl AggState {
         let Some(arg_expr) = call.arg.as_ref() else {
             return Err(Error::Eval("aggregate call is missing its argument".into()));
         };
-        let arg = arg_expr.eval(row)?;
-        if arg.is_null() {
-            return Ok(()); // SQL aggregates skip NULLs
-        }
+        let args = rows.filter_map(|row| match arg_expr.eval_ref(row) {
+            Ok(v) if v.is_null() => None,
+            arg => Some(arg),
+        });
         match self {
             AggState::CountStar(_) => {} // handled by the early return above
-            AggState::Count(n) => *n += 1,
+            AggState::Count(n) => {
+                for arg in args {
+                    arg?;
+                    *n += 1;
+                }
+            }
             AggState::Sum { sum, all_int, seen } => {
-                let v = arg
-                    .as_f64()
-                    .ok_or_else(|| Error::Eval(format!("sum over non-numeric value {arg}")))?;
-                *sum += v;
-                *all_int &= matches!(arg, Value::Int(_));
-                *seen = true;
+                for arg in args {
+                    let arg = arg?;
+                    let v = arg
+                        .as_f64()
+                        .ok_or_else(|| Error::Eval(format!("sum over non-numeric value {arg}")))?;
+                    *sum += v;
+                    *all_int &= matches!(*arg, Value::Int(_));
+                    *seen = true;
+                }
             }
             AggState::Avg { sum, n } => {
-                let v = arg
-                    .as_f64()
-                    .ok_or_else(|| Error::Eval(format!("avg over non-numeric value {arg}")))?;
-                *sum += v;
-                *n += 1;
+                for arg in args {
+                    let arg = arg?;
+                    let v = arg
+                        .as_f64()
+                        .ok_or_else(|| Error::Eval(format!("avg over non-numeric value {arg}")))?;
+                    *sum += v;
+                    *n += 1;
+                }
             }
             AggState::Min(best) => {
-                let better = match best {
-                    None => true,
-                    Some(b) => arg.cmp_non_null(b) == std::cmp::Ordering::Less,
-                };
-                if better {
-                    *best = Some(arg);
+                for arg in args {
+                    let arg = arg?;
+                    if best
+                        .as_ref()
+                        .map_or(true, |b| arg.cmp_non_null(b) == std::cmp::Ordering::Less)
+                    {
+                        *best = Some(arg.into_owned());
+                    }
                 }
             }
             AggState::Max(best) => {
-                let better = match best {
-                    None => true,
-                    Some(b) => arg.cmp_non_null(b) == std::cmp::Ordering::Greater,
-                };
-                if better {
-                    *best = Some(arg);
+                for arg in args {
+                    let arg = arg?;
+                    if best
+                        .as_ref()
+                        .map_or(true, |b| arg.cmp_non_null(b) == std::cmp::Ordering::Greater)
+                    {
+                        *best = Some(arg.into_owned());
+                    }
                 }
             }
-            AggState::ArrayAgg(items) => items.push(arg.to_string()),
+            AggState::ArrayAgg(items) => {
+                for arg in args {
+                    items.push(arg?.to_string());
+                }
+            }
         }
         Ok(())
     }

@@ -5,6 +5,7 @@
 //! to positions and materialising uncorrelated `IN (SELECT …)` subqueries
 //! into hash sets. The result is a [`BoundExpr`] evaluable against a row.
 
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
@@ -108,23 +109,34 @@ pub enum BoundExpr {
 }
 
 impl BoundExpr {
-    /// Evaluates against a row.
-    pub fn eval(&self, row: &[Value]) -> Result<Value> {
+    /// Evaluates against a row, by reference where possible: a bare
+    /// column reads the row's cell and a literal reads the constant, with
+    /// no clone; computed expressions return their owned value. Operand,
+    /// predicate and aggregate-argument reads go through this entry point.
+    pub fn eval_ref<'a>(&'a self, row: &'a [Value]) -> Result<Cow<'a, Value>> {
         match self {
-            BoundExpr::Literal(v) => Ok(v.clone()),
+            BoundExpr::Literal(v) => Ok(Cow::Borrowed(v)),
             BoundExpr::Column(i) => row
                 .get(*i)
-                .cloned()
+                .map(Cow::Borrowed)
                 .ok_or_else(|| Error::Eval(format!("column index {i} out of bounds"))),
+            _ => self.eval(row).map(Cow::Owned),
+        }
+    }
+
+    /// Evaluates against a row into an owned value.
+    pub fn eval(&self, row: &[Value]) -> Result<Value> {
+        match self {
+            BoundExpr::Literal(_) | BoundExpr::Column(_) => self.eval_ref(row).map(Cow::into_owned),
             BoundExpr::Binary { op, left, right } => {
                 // Short-circuit three-valued AND/OR.
                 match op {
                     BinOp::And => {
-                        let l = left.eval(row)?.as_bool();
+                        let l = left.eval_ref(row)?.as_bool();
                         if l == Some(false) {
                             return Ok(Value::Bool(false));
                         }
-                        let r = right.eval(row)?.as_bool();
+                        let r = right.eval_ref(row)?.as_bool();
                         return Ok(match (l, r) {
                             (_, Some(false)) => Value::Bool(false),
                             (Some(true), Some(true)) => Value::Bool(true),
@@ -132,11 +144,11 @@ impl BoundExpr {
                         });
                     }
                     BinOp::Or => {
-                        let l = left.eval(row)?.as_bool();
+                        let l = left.eval_ref(row)?.as_bool();
                         if l == Some(true) {
                             return Ok(Value::Bool(true));
                         }
-                        let r = right.eval(row)?.as_bool();
+                        let r = right.eval_ref(row)?.as_bool();
                         return Ok(match (l, r) {
                             (_, Some(true)) => Value::Bool(true),
                             (Some(false), Some(false)) => Value::Bool(false),
@@ -145,8 +157,8 @@ impl BoundExpr {
                     }
                     _ => {}
                 }
-                let l = left.eval(row)?;
-                let r = right.eval(row)?;
+                let l = left.eval_ref(row)?;
+                let r = right.eval_ref(row)?;
                 match op {
                     BinOp::Add => l.arith('+', &r),
                     BinOp::Sub => l.arith('-', &r),
@@ -171,24 +183,24 @@ impl BoundExpr {
                 }
             }
             BoundExpr::Neg(inner) => {
-                let v = inner.eval(row)?;
-                match v {
+                let v = inner.eval_ref(row)?;
+                match v.as_ref() {
                     Value::Null => Ok(Value::Null),
                     Value::Int(i) => Ok(Value::Int(-i)),
                     Value::Float(f) => Ok(Value::Float(-f)),
                     other => Err(Error::Eval(format!("cannot negate {other}"))),
                 }
             }
-            BoundExpr::Not(inner) => Ok(match inner.eval(row)?.as_bool() {
+            BoundExpr::Not(inner) => Ok(match inner.eval_ref(row)?.as_bool() {
                 Some(b) => Value::Bool(!b),
                 None => Value::Null,
             }),
             BoundExpr::InSet { expr, set, negated } => {
-                let probe = expr.eval(row)?;
+                let probe = expr.eval_ref(row)?;
                 if probe.is_null() {
                     return Ok(Value::Null);
                 }
-                let hit = set.contains(&probe);
+                let hit = set.contains(probe.as_ref());
                 Ok(Value::Bool(hit != *negated))
             }
         }
@@ -197,7 +209,7 @@ impl BoundExpr {
     /// Evaluates as a predicate: `true` only for a definite SQL TRUE
     /// (NULL filters out, per WHERE semantics).
     pub fn eval_predicate(&self, row: &[Value]) -> Result<bool> {
-        Ok(self.eval(row)?.as_bool() == Some(true))
+        Ok(self.eval_ref(row)?.as_bool() == Some(true))
     }
 
     /// Collects the input column indices this expression reads.
@@ -324,6 +336,24 @@ mod tests {
             Value::Float(-2.5)
         );
         assert!(BoundExpr::Neg(Box::new(lit("x"))).eval(&[]).is_err());
+    }
+
+    #[test]
+    fn eval_ref_borrows_columns_and_literals() {
+        let row = vec![Value::Str("abc".into()), Value::Int(4)];
+        assert!(
+            matches!(col(0).eval_ref(&row).unwrap(), Cow::Borrowed(Value::Str(s)) if s == "abc")
+        );
+        assert!(matches!(
+            lit(7i64).eval_ref(&row).unwrap(),
+            Cow::Borrowed(Value::Int(7))
+        ));
+        let sum = bin(BinOp::Add, col(1), lit(1i64));
+        assert!(matches!(
+            sum.eval_ref(&row).unwrap(),
+            Cow::Owned(Value::Int(5))
+        ));
+        assert!(col(2).eval_ref(&row).is_err());
     }
 
     #[test]

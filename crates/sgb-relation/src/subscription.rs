@@ -575,17 +575,18 @@ impl SubscriptionSet {
             })
     }
 
-    /// Executor serve: the published grouping of an active subscription
-    /// matching the node and fresh at `version`, if any.
+    /// Executor serve: the published snapshot of an active subscription
+    /// matching the node and fresh at `version`, if any. The snapshot is
+    /// shared, not copied; the executor reads its grouping in place.
     pub(crate) fn serve(
         &self,
         table: &str,
         coords_key: &str,
         key: &QueryKey,
         version: u64,
-    ) -> Option<Grouping> {
+    ) -> Option<Arc<GroupingSnapshot>> {
         self.lookup(table, coords_key, key, version)
-            .map(|(_, snap)| snap.grouping.clone())
+            .map(|(_, snap)| snap)
     }
 
     fn lookup(
